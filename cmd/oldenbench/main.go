@@ -216,7 +216,9 @@ func runWallclock(out io.Writer, path, only string, procs, scale, count int) {
 	for _, name := range names {
 		info, _ := bench.Get(name)
 		for _, scheme := range coherence.Kinds() {
-			cfg := bench.Config{Procs: procs, Scale: scale, Scheme: scheme}
+			var rtm *rt.Runtime
+			cfg := bench.Config{Procs: procs, Scale: scale, Scheme: scheme,
+				RuntimeHook: func(r *rt.Runtime) { rtm = r }}
 			var cycles int64
 			best := int64(-1)
 			for i := 0; i < count; i++ {
@@ -235,8 +237,11 @@ func runWallclock(out io.Writer, path, only string, procs, scale, count int) {
 				Benchmark: name, Procs: procs, Scheme: scheme.String(),
 				Scale: scale, Runs: count, Cycles: cycles, WallNs: best,
 			}
-			fmt.Fprintf(out, "%-12s %-9s P=%d: %d cycles in %.2f ms — %.1f ns/sim-cycle\n",
-				name, scheme, procs, rec.Cycles, float64(rec.WallNs)/1e6, rec.NsPerCycle())
+			if sc, ok := rtm.SchedCounts(); ok {
+				rec.Syncs, rec.Handoffs = sc.Syncs, sc.Handoffs
+			}
+			fmt.Fprintf(out, "%-12s %-9s P=%d: %d cycles in %.2f ms — %.1f ns/sim-cycle, %.1f ns/handoff\n",
+				name, scheme, procs, rec.Cycles, float64(rec.WallNs)/1e6, rec.NsPerCycle(), rec.NsPerHandoff())
 			wf.Records = append(wf.Records, rec)
 		}
 	}

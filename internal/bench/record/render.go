@@ -132,12 +132,17 @@ func Table3Markdown(cur, prev []File, procs int) string {
 func WallMarkdown(f WallFile) string {
 	var sb strings.Builder
 	sb.WriteString("## Simulator throughput — wall clock\n\n")
-	sb.WriteString("| Benchmark | P | Scheme | Scale | Sim cycles | Wall ms | ns/sim-cycle |\n")
-	sb.WriteString("|---|---:|---|---:|---:|---:|---:|\n")
+	sb.WriteString("| Benchmark | P | Scheme | Scale | Sim cycles | Wall ms | ns/sim-cycle | Handoffs | ns/handoff |\n")
+	sb.WriteString("|---|---:|---|---:|---:|---:|---:|---:|---:|\n")
 	for _, r := range f.Records {
-		fmt.Fprintf(&sb, "| %s | %d | %s | 1/%d | %d | %.2f | %.1f |\n",
+		fmt.Fprintf(&sb, "| %s | %d | %s | 1/%d | %d | %.2f | %.1f |",
 			r.Benchmark, r.Procs, r.Scheme, r.Scale,
 			r.Cycles, float64(r.WallNs)/1e6, r.NsPerCycle())
+		if r.Handoffs > 0 {
+			fmt.Fprintf(&sb, " %d | %.1f |\n", r.Handoffs, r.NsPerHandoff())
+		} else {
+			sb.WriteString(" – | – |\n")
+		}
 	}
 	if g := f.Geomean(); g > 0 {
 		fmt.Fprintf(&sb, "\nGeomean: %.1f ns/sim-cycle over %d configurations "+

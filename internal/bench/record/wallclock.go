@@ -28,6 +28,10 @@ const WallFilename = "WALLCLOCK.json"
 // configuration, timed end to end over the simulated region. Cycles is
 // deterministic; WallNs is the best (minimum) of Runs repetitions, the
 // standard way to strip scheduler and cache noise from a point sample.
+// Syncs and Handoffs are the event loop's deterministic work counts over
+// one run (zero when the run used the channel scheduler): they explain the
+// wall time the way Cycles does, per scheduler decision instead of per
+// simulated cycle.
 type WallRecord struct {
 	Benchmark string `json:"benchmark"`
 	Procs     int    `json:"procs"`
@@ -36,6 +40,8 @@ type WallRecord struct {
 	Runs      int    `json:"runs"`
 	Cycles    int64  `json:"cycles"`
 	WallNs    int64  `json:"wall_ns"`
+	Syncs     int64  `json:"syncs,omitempty"`
+	Handoffs  int64  `json:"handoffs,omitempty"`
 }
 
 // Key names the configuration within a wall file.
@@ -51,6 +57,15 @@ func (r WallRecord) NsPerCycle() float64 {
 		return 0
 	}
 	return float64(r.WallNs) / float64(r.Cycles)
+}
+
+// NsPerHandoff is wall-clock nanoseconds per scheduler handoff, or zero
+// when the record carries no handoff count.
+func (r WallRecord) NsPerHandoff() float64 {
+	if r.Handoffs <= 0 {
+		return 0
+	}
+	return float64(r.WallNs) / float64(r.Handoffs)
 }
 
 // WallFile is the on-disk wall-clock artifact: every measured

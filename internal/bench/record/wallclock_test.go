@@ -10,7 +10,8 @@ import (
 
 func wallFixture() WallFile {
 	return WallFile{Records: []WallRecord{
-		{Benchmark: "power", Procs: 4, Scheme: "local", Scale: 16, Runs: 3, Cycles: 2_000_000, WallNs: 8_000_000},
+		{Benchmark: "power", Procs: 4, Scheme: "local", Scale: 16, Runs: 3, Cycles: 2_000_000, WallNs: 8_000_000,
+			Syncs: 1_000_000, Handoffs: 400_000},
 		{Benchmark: "treeadd", Procs: 4, Scheme: "local", Scale: 16, Runs: 3, Cycles: 1_000_000, WallNs: 1_000_000},
 	}}
 }
@@ -22,6 +23,16 @@ func TestWallNsPerCycle(t *testing.T) {
 	}
 	if got := (WallRecord{Cycles: 0, WallNs: 10}).NsPerCycle(); got != 0 {
 		t.Fatalf("NsPerCycle with zero cycles = %v; want 0", got)
+	}
+}
+
+func TestWallNsPerHandoff(t *testing.T) {
+	r := WallRecord{WallNs: 10, Handoffs: 4}
+	if got := r.NsPerHandoff(); got != 2.5 {
+		t.Fatalf("NsPerHandoff = %v; want 2.5", got)
+	}
+	if got := (WallRecord{WallNs: 10}).NsPerHandoff(); got != 0 {
+		t.Fatalf("NsPerHandoff with no handoff count = %v; want 0", got)
 	}
 }
 
@@ -50,6 +61,9 @@ func TestWallSaveLoadRoundTrip(t *testing.T) {
 	if got.Schema != WallSchemaVersion || len(got.Records) != 2 {
 		t.Fatalf("round trip: schema=%d records=%d", got.Schema, len(got.Records))
 	}
+	if want := wallFixture().Records[0]; got.Records[1] != want {
+		t.Fatalf("round trip changed a record: %+v, want %+v", got.Records[1], want)
+	}
 	// Marshal sorts by Table 1 order: treeadd before power.
 	if got.Records[0].Benchmark != "treeadd" || got.Records[1].Benchmark != "power" {
 		t.Fatalf("records not in table order: %v, %v", got.Records[0].Benchmark, got.Records[1].Benchmark)
@@ -72,8 +86,9 @@ func TestWallMarkdown(t *testing.T) {
 	for _, want := range []string{
 		"## Simulator throughput — wall clock",
 		"ns/sim-cycle",
-		"| treeadd | 4 | local | 1/16 | 1000000 | 1.00 | 1.0 |",
-		"| power | 4 | local | 1/16 | 2000000 | 8.00 | 4.0 |",
+		"ns/handoff",
+		"| treeadd | 4 | local | 1/16 | 1000000 | 1.00 | 1.0 | – | – |",
+		"| power | 4 | local | 1/16 | 2000000 | 8.00 | 4.0 | 400000 | 20.0 |",
 		"Geomean: 2.0 ns/sim-cycle over 2 configurations",
 		"best of 3 runs",
 	} {

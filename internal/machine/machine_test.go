@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestDefaultCostRatio(t *testing.T) {
 	c := DefaultCost()
@@ -34,25 +31,36 @@ func TestOccupySerializes(t *testing.T) {
 	}
 }
 
+// TestOccupyConcurrentTotal charges one processor from eight logical
+// threads the way the runtime does: each worker is a scheduler thread that
+// Syncs before every Occupy, so the calls interleave in virtual time while
+// Proc's single-writer contract holds.
 func TestOccupyConcurrentTotal(t *testing.T) {
 	m := New(Config{Procs: 1})
 	p := m.Procs[0]
 	const workers, per, cycles = 8, 500, 7
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	s := NewLoopScheduler()
+	entries := make([]*SchedEntry, workers)
+	for w := range entries {
+		entries[w] = s.Register(0)
+	}
+	body := func(e *SchedEntry) func() {
+		return func() {
 			now := int64(0)
 			for i := 0; i < per; i++ {
+				s.Sync(e, now)
 				now = p.Occupy(now, cycles)
 			}
-		}()
+			s.Exit(e)
+		}
 	}
-	wg.Wait()
+	for _, e := range entries[1:] {
+		s.Go(e, body(e))
+	}
+	s.Main(entries[0], body(entries[0]))
 	want := int64(workers * per * cycles)
 	if p.Busy() != want {
-		t.Fatalf("busy = %d; want %d (work is conserved under concurrency)", p.Busy(), want)
+		t.Fatalf("busy = %d; want %d (work is conserved across interleaved threads)", p.Busy(), want)
 	}
 	if p.Clock() < want {
 		t.Fatalf("clock = %d < total serial work %d", p.Clock(), want)

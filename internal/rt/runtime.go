@@ -430,6 +430,18 @@ func (r *Runtime) HeapFingerprint() uint64 {
 	return h
 }
 
+// SchedCounts returns the event loop's work counts over this runtime's
+// life: every Sync, and the Syncs that handed off to another thread. They
+// depend only on the simulated program. ok is false under the channel
+// scheduler, which keeps no counts.
+func (r *Runtime) SchedCounts() (machine.SchedCounts, bool) {
+	s, ok := r.Sched.(*machine.LoopScheduler)
+	if !ok {
+		return machine.SchedCounts{}, false
+	}
+	return s.Counts(), true
+}
+
 // PagesCachedTotal sums the cumulative page allocations over all caches
 // (Table 3's "Total Pages Cached").
 func (r *Runtime) PagesCachedTotal() int64 {
