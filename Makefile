@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLexAll$$' -fuzztime $(FUZZTIME) ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzEffects$$' -fuzztime $(FUZZTIME) ./internal/analysis/effects
+	$(GO) test -run '^$$' -fuzz '^FuzzRecorderRing$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 oldenvet:
 	$(GO) run ./cmd/oldenvet ./...

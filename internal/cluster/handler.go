@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -25,6 +24,9 @@ type reqCtx struct {
 	shard     string
 	cache     string
 	shed      string
+	// requests counts the matched route's responses by status code;
+	// nil until a route matches.
+	requests *metrics.CodeCounters
 }
 
 type reqCtxKey struct{}
@@ -72,11 +74,21 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 //	GET  /debug/trace/id  fan-out: served by whichever replica retained the trace
 //	GET  /healthz         router liveness
 //	GET  /readyz          ready while at least one replica is ready (per-shard detail in the body)
+//
+// Requests are counted in oldenrouter_requests_total by matched route
+// ("other" when none matches) and status.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/run", rt.handleRun)
-	mux.HandleFunc("/batch", rt.handleBatch)
-	mux.HandleFunc("/analyze", func(w http.ResponseWriter, r *http.Request) {
+	route := func(pattern string, h http.HandlerFunc) {
+		reqs := rt.cfg.Metrics.CodeCounters("oldenrouter_requests_total", metrics.L("path", pattern))
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			requestCtx(r).requests = reqs
+			h(w, r)
+		})
+	}
+	route("/run", rt.handleRun)
+	route("/batch", rt.handleBatch)
+	route("/analyze", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST only")
 			return
@@ -88,14 +100,14 @@ func (rt *Router) Handler() http.Handler {
 		}
 		rt.proxyAny(w, r, http.MethodPost, "/analyze", body)
 	})
-	mux.HandleFunc("/benchmarks", func(w http.ResponseWriter, r *http.Request) {
+	route("/benchmarks", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
 		rt.proxyAny(w, r, http.MethodGet, "/benchmarks", nil)
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+	route("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, "GET only")
 			return
@@ -103,12 +115,12 @@ func (rt *Router) Handler() http.Handler {
 		w.Header().Set("Content-Type", metrics.ContentType)
 		io.WriteString(w, rt.cfg.Metrics.Snapshot().Prometheus())
 	})
-	mux.HandleFunc("/debug/requests", rt.handleDebugRequests)
-	mux.HandleFunc("/debug/trace/", rt.handleDebugTrace)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	route("/debug/requests", rt.handleDebugRequests)
+	route("/debug/trace/", rt.handleDebugTrace)
+	route("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("/readyz", rt.handleReadyz)
+	route("/readyz", rt.handleReadyz)
 	return rt.instrument(mux)
 }
 
@@ -139,9 +151,10 @@ func (rt *Router) instrument(next http.Handler) http.Handler {
 			sw.status = http.StatusOK
 		}
 		durUS := rt.cfg.Now().Sub(start).Microseconds()
-		rt.cfg.Metrics.Counter("oldenrouter_requests_total",
-			metrics.L("path", r.URL.Path),
-			metrics.L("code", strconv.Itoa(sw.status))).Inc()
+		if rc.requests == nil {
+			rc.requests = rt.otherRequests
+		}
+		rc.requests.Inc(sw.status)
 		rt.cfg.Tracer.FinishRequest(sp, obs.ReqInfo{
 			TraceID:    traceID,
 			Method:     r.Method,

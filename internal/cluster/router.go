@@ -116,6 +116,10 @@ func (c Config) withDefaults() Config {
 type shard struct {
 	name   string
 	budget chan struct{}
+	// latency and proxied are the shard's exchange metrics, resolved
+	// once so a proxied request skips the registry lookup.
+	latency *metrics.Histogram
+	proxied *metrics.CodeCounters
 	// downUntil is the unix-nano instant before which the shard is
 	// skipped on the first routing pass. Connection failures set it;
 	// any successful exchange clears it.
@@ -139,6 +143,8 @@ type Router struct {
 	verifyMatch    *metrics.Counter
 	verifyMismatch *metrics.Counter
 	verifyErr      *metrics.Counter
+	// otherRequests counts responses to paths no route matched.
+	otherRequests *metrics.CodeCounters
 }
 
 // NewRouter builds the router and its ring.
@@ -159,8 +165,10 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	for _, name := range rt.names {
 		rt.shards[name] = &shard{
-			name:   name,
-			budget: make(chan struct{}, cfg.MaxConnsPerReplica),
+			name:    name,
+			budget:  make(chan struct{}, cfg.MaxConnsPerReplica),
+			latency: cfg.Metrics.Histogram("oldenrouter_shard_latency_us", metrics.L("shard", name)),
+			proxied: cfg.Metrics.CodeCounters("oldenrouter_proxied_total", metrics.L("shard", name)),
 		}
 	}
 	m := cfg.Metrics
@@ -179,6 +187,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt.verifyMatch = m.Counter("oldenrouter_verify_total", metrics.L("outcome", "match"))
 	rt.verifyMismatch = m.Counter("oldenrouter_verify_mismatch_total")
 	rt.verifyErr = m.Counter("oldenrouter_verify_total", metrics.L("outcome", "error"))
+	rt.otherRequests = m.CodeCounters("oldenrouter_requests_total", metrics.L("path", "other"))
 	m.RegisterFunc("oldenrouter_shards", metrics.KindGauge, func() int64 { return int64(len(rt.names)) })
 	return rt, nil
 }
@@ -249,10 +258,8 @@ func (rt *Router) exchange(ctx context.Context, sh *shard, method, path string, 
 		return reply{}, err
 	}
 	rt.markUp(sh)
-	rt.cfg.Metrics.Histogram("oldenrouter_shard_latency_us", metrics.L("shard", sh.name)).
-		Observe(rt.cfg.Now().Sub(start).Microseconds())
-	rt.cfg.Metrics.Counter("oldenrouter_proxied_total",
-		metrics.L("shard", sh.name), metrics.L("code", strconv.Itoa(resp.StatusCode))).Inc()
+	sh.latency.Observe(rt.cfg.Now().Sub(start).Microseconds())
+	sh.proxied.Inc(resp.StatusCode)
 	return reply{status: resp.StatusCode, header: resp.Header, body: b}, nil
 }
 

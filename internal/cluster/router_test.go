@@ -441,3 +441,46 @@ func TestRouterBenchmarksProxied(t *testing.T) {
 		t.Error("/benchmarks response does not name the answering shard")
 	}
 }
+
+// TestRouterRequestsLabelledByRoute pins that oldenrouter_requests_total
+// is keyed by the matched route, not the raw URL path: 1000 distinct
+// unknown and /debug/trace/<id> paths add one series per route (and
+// status).
+func TestRouterRequestsLabelledByRoute(t *testing.T) {
+	tc := newTestCluster(t, 1, Config{AccessLog: io.Discard}, fastExec)
+	h := tc.router.Handler()
+	reg := tc.router.Metrics()
+	before := reg.Len()
+	for i := 0; i < 500; i++ {
+		for _, path := range []string{fmt.Sprintf("/no/such/path/%d", i), fmt.Sprintf("/debug/trace/%032x", i)} {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+			if w.Code != http.StatusNotFound {
+				t.Fatalf("GET %s = %d, want 404", path, w.Code)
+			}
+		}
+	}
+	// Two request series (one per route) plus the fan-out's one
+	// oldenrouter_proxied_total{shard,code="404"}.
+	if grown := reg.Len() - before; grown > 3 {
+		t.Errorf("1000 distinct paths added %d series; want at most one per route and shard", grown)
+	}
+	n := 0
+	for _, sm := range reg.Snapshot().Samples {
+		if sm.Name != "oldenrouter_requests_total" {
+			continue
+		}
+		n++
+		for _, l := range sm.Labels {
+			if l.Key == "path" && l.Value != "other" && l.Value != "/debug/trace/" {
+				t.Errorf("unexpected path label %q", l.Value)
+			}
+		}
+		if sm.Value != 500 {
+			t.Errorf("%s = %d, want 500", sm.ID(), sm.Value)
+		}
+	}
+	if n != 2 {
+		t.Errorf("oldenrouter_requests_total has %d series, want 2", n)
+	}
+}

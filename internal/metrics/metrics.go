@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -303,6 +304,49 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 		return nil
 	}
 	return r.get(name, KindHistogram, labels).h
+}
+
+// CodeCounters is one counter family keyed by an HTTP status "code"
+// label, every other label fixed: a request path resolves the fixed
+// labels once and then pays an atomic load per Inc instead of label
+// canonicalisation and the registry lock. A nil *CodeCounters ignores
+// updates.
+type CodeCounters struct {
+	reg    *Registry
+	name   string
+	labels []Label
+	byCode [600]atomic.Pointer[Counter]
+}
+
+// CodeCounters returns the family of counters registered under name with
+// the given fixed labels plus a "code" label. Returns nil on a nil
+// registry.
+func (r *Registry) CodeCounters(name string, labels ...Label) *CodeCounters {
+	if r == nil {
+		return nil
+	}
+	return &CodeCounters{reg: r, name: name, labels: labels}
+}
+
+// Inc increments the counter for code, resolving it on first use.
+func (c *CodeCounters) Inc(code int) {
+	if c == nil {
+		return
+	}
+	resolve := func() *Counter {
+		ls := append(c.labels[:len(c.labels):len(c.labels)], L("code", strconv.Itoa(code)))
+		return c.reg.Counter(c.name, ls...)
+	}
+	if code < 0 || code >= len(c.byCode) {
+		resolve().Inc()
+		return
+	}
+	ctr := c.byCode[code].Load()
+	if ctr == nil {
+		ctr = resolve()
+		c.byCode[code].Store(ctr)
+	}
+	ctr.Inc()
 }
 
 // RegisterCounter binds an externally-owned counter (e.g. the machine's

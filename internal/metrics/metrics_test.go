@@ -286,3 +286,50 @@ func TestBucketBound(t *testing.T) {
 		t.Fatal("top bucket must cover every int64")
 	}
 }
+
+// TestCodeCounters pins that the memoised family writes the same series
+// Counter(name, labels..., code) would, in and out of the memo's range,
+// and that a nil family ignores updates.
+func TestCodeCounters(t *testing.T) {
+	r := NewRegistry()
+	cc := r.CodeCounters("reqs_total", L("path", "/run"))
+	cc.Inc(200)
+	cc.Inc(200)
+	cc.Inc(429)
+	cc.Inc(999)
+	for code, want := range map[string]int64{"200": 2, "429": 1, "999": 1} {
+		if got := r.Counter("reqs_total", L("code", code), L("path", "/run")).Load(); got != want {
+			t.Errorf("code %s = %d, want %d", code, got, want)
+		}
+	}
+	if r.Len() != 3 {
+		t.Errorf("registry holds %d series, want 3", r.Len())
+	}
+	var nilReg *Registry
+	nilReg.CodeCounters("x").Inc(200)
+}
+
+// TestCodeCountersConcurrent pins that goroutines racing to resolve and
+// bump the same codes lose no increment and register each series once.
+func TestCodeCountersConcurrent(t *testing.T) {
+	r := NewRegistry()
+	cc := r.CodeCounters("reqs_total")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				cc.Inc(200 + i%3)
+			}
+		}()
+	}
+	wg.Wait()
+	var total int64
+	for _, code := range []string{"200", "201", "202"} {
+		total += r.Counter("reqs_total", L("code", code)).Load()
+	}
+	if total != 8000 || r.Len() != 3 {
+		t.Errorf("total = %d over %d series; want 8000 over 3", total, r.Len())
+	}
+}

@@ -35,10 +35,10 @@ func TestCacheHitPathZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestTracedCacheHitZeroAlloc pins the same path with tracing ENABLED on
-// an explicitly sized recorder: the ring is preallocated, so emitting a
-// hit event costs no allocation either (until the ring wraps, which also
-// does not allocate).
+// TestTracedCacheHitZeroAlloc pins the same path with tracing ENABLED:
+// the warm-up access allocates the ring's first chunk, after which
+// emitting a hit event costs no allocation (wrapping does not allocate
+// either).
 func TestTracedCacheHitZeroAlloc(t *testing.T) {
 	rec := trace.New(1 << 12)
 	r := New(Config{Procs: 2, Trace: rec})

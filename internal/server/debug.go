@@ -64,13 +64,13 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// mountPprof exposes net/http/pprof on the main mux. It is opt-in
-// (Config.EnablePprof) because the profiles reveal host internals a
-// benchmark service does not otherwise leak.
-func mountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+// mountPprof exposes net/http/pprof through the main mux's route
+// helper. It is opt-in (Config.EnablePprof) because the profiles reveal
+// host internals a benchmark service does not otherwise leak.
+func mountPprof(route func(pattern string, h http.HandlerFunc)) {
+	route("/debug/pprof/", pprof.Index)
+	route("/debug/pprof/cmdline", pprof.Cmdline)
+	route("/debug/pprof/profile", pprof.Profile)
+	route("/debug/pprof/symbol", pprof.Symbol)
+	route("/debug/pprof/trace", pprof.Trace)
 }

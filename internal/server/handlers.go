@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/bench"
@@ -130,6 +129,9 @@ type reqCtx struct {
 	extra   logExtra
 	sp      *obs.Span
 	traceID string
+	// requests counts the matched route's responses by status code;
+	// nil until a route matches.
+	requests *metrics.CodeCounters
 }
 
 type reqCtxKey struct{}
@@ -156,26 +158,34 @@ func requestCtx(r *http.Request) *reqCtx {
 //	GET  /readyz          readiness (503 once drain begins)
 //
 // Every request is access-logged (when a logger is configured), counted
-// in oldend_requests_total by endpoint and status, and answered with an
-// X-Oldend-Trace-Id header — on shed and error paths too — so any
-// response can be quoted back at the trace endpoints.
+// in oldend_requests_total by matched route ("other" when none matches)
+// and status, and answered with an X-Oldend-Trace-Id header — on shed
+// and error paths too — so any response can be quoted back at the trace
+// endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/run", s.handleRun)
-	mux.HandleFunc("/batch", s.handleBatch)
-	mux.HandleFunc("/analyze", s.handleAnalyze)
-	mux.HandleFunc("/cache/probe", s.handleCacheProbe)
-	mux.HandleFunc("/benchmarks", s.handleBenchmarks)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/requests", s.handleDebugRequests)
-	mux.HandleFunc("/debug/trace/", s.handleDebugTrace)
-	if s.cfg.EnablePprof {
-		mountPprof(mux)
+	route := func(pattern string, h http.HandlerFunc) {
+		reqs := s.cfg.Metrics.CodeCounters("oldend_requests_total", metrics.L("path", pattern))
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			requestCtx(r).requests = reqs
+			h(w, r)
+		})
 	}
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	route("/run", s.handleRun)
+	route("/batch", s.handleBatch)
+	route("/analyze", s.handleAnalyze)
+	route("/cache/probe", s.handleCacheProbe)
+	route("/benchmarks", s.handleBenchmarks)
+	route("/metrics", s.handleMetrics)
+	route("/debug/requests", s.handleDebugRequests)
+	route("/debug/trace/", s.handleDebugTrace)
+	if s.cfg.EnablePprof {
+		mountPprof(route)
+	}
+	route("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+	route("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			w.Header().Set("Retry-After", s.retryAfterSeconds())
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
@@ -219,9 +229,10 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			sw.status = http.StatusOK
 		}
 		durUS := s.cfg.Now().Sub(start).Microseconds()
-		s.cfg.Metrics.Counter("oldend_requests_total",
-			metrics.L("path", r.URL.Path),
-			metrics.L("code", strconv.Itoa(sw.status))).Inc()
+		if rc.requests == nil {
+			rc.requests = s.otherRequests
+		}
+		rc.requests.Inc(sw.status)
 		s.cfg.Tracer.FinishRequest(sp, obs.ReqInfo{
 			TraceID:    traceID,
 			Method:     r.Method,

@@ -67,11 +67,12 @@ func phaseKey(req RunRequest, chain string) string {
 // An unverified run — wrong answer versus the sequential reference — is
 // an executor error, never a cacheable result.
 //
-// When sp is sampled, the run attaches its own simulation recorder so
-// the span tree bottoms out in real cache-miss events, and each bench
-// phase ("build", "kernel", ...) becomes a child span. The recorder's
-// capacity matches what RunPhasedRecorded would allocate on its own, so
-// TraceDigest is byte-identical sampled or not.
+// When sp is sampled, the run records into its own simulation recorder,
+// attached to sp once the run returns, so the span tree bottoms out in
+// real cache-miss events, and each bench phase ("build", "kernel", ...)
+// becomes a child span. The recorder's capacity matches what
+// RunPhasedRecorded would allocate on its own, so TraceDigest is
+// byte-identical sampled or not.
 func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunRecord, string, error) {
 	info, ok := bench.Get(req.Benchmark)
 	if !ok {
@@ -101,7 +102,6 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 		}
 		simRec = trace.New(s.cfg.TraceCapacity)
 		cfg.Trace = simRec
-		sp.AttachSim(simRec)
 		cfg.OnPhase = func(name string) func() {
 			ph := sp.StartChild("phase:" + name)
 			return ph.End
@@ -118,6 +118,10 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 	}
 	res, rec, nbs, reused, err := bench.RunPhasedRecorded(info, cfg, bs)
 	if simRec != nil {
+		// The recorder is single-writer and unlocked: it reaches the span
+		// tree, and through it /debug/trace and /debug/requests, only
+		// once the run that writes it has returned.
+		sp.AttachSim(simRec)
 		if d := simRec.Dropped(); d > 0 {
 			s.traceDropped.Add(d)
 			sp.SetAttrInt("sim_dropped", d)

@@ -268,6 +268,8 @@ type Server struct {
 	runLatency   *metrics.Histogram
 	simCycles    *metrics.Counter
 	traceDropped *metrics.Counter
+	// otherRequests counts responses to paths no route matched.
+	otherRequests *metrics.CodeCounters
 }
 
 // New builds the server and starts its worker pool.
@@ -324,6 +326,7 @@ func New(cfg Config) *Server {
 	s.runLatency = m.Histogram("oldend_run_us")
 	s.simCycles = m.Counter("oldend_sim_cycles_total")
 	s.traceDropped = m.Counter("oldend_trace_dropped_total")
+	s.otherRequests = m.CodeCounters("oldend_requests_total", metrics.L("path", "other"))
 	m.RegisterFunc("oldend_queue_depth", metrics.KindGauge, func() int64 { return int64(len(s.queue)) })
 	m.RegisterFunc("oldend_cache_entries", metrics.KindGauge, func() int64 { return int64(s.cache.len()) })
 	m.RegisterFunc("oldend_phase_cache_entries", metrics.KindGauge, func() int64 { return int64(s.phases.len()) })

@@ -58,13 +58,10 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 // "trace_dropped" records how many events were lost, so a truncated
 // timeline declares itself instead of silently looking complete.
 func (r *Recorder) EmitChrome(emit func(obj map[string]any) error) error {
-	events := r.Events()
-	sites := r.Sites()
-
 	// Name every processor and thread seen in the trace.
 	procs := map[int16]bool{}
 	threads := map[[2]int32]bool{} // (pid, tid) pairs
-	for _, ev := range events {
+	for ev := range r.all {
 		if ev.P < 0 {
 			continue
 		}
@@ -113,16 +110,10 @@ func (r *Recorder) EmitChrome(emit func(obj map[string]any) error) error {
 		}
 	}
 
-	siteName := func(id int32) string {
-		if id >= 0 && int(id) < len(sites) {
-			return sites[id]
-		}
-		return ""
-	}
 	pageStr := func(p uint32) string { return gaddr.PageID(p).String() }
 
 	flowID := 0
-	for _, ev := range events {
+	for ev := range r.all {
 		var err error
 		switch ev.Kind {
 		case EvResidency:
@@ -137,7 +128,7 @@ func (r *Recorder) EmitChrome(emit func(obj map[string]any) error) error {
 				name = "return"
 			}
 			args := map[string]any{"dst": ev.Arg}
-			if s := siteName(ev.Site); s != "" {
+			if s := r.SiteName(ev.Site); s != "" {
 				args["site"] = s
 			}
 			if err = emit(map[string]any{
@@ -151,7 +142,7 @@ func (r *Recorder) EmitChrome(emit func(obj map[string]any) error) error {
 			}
 		case EvCacheMiss:
 			err = emit(map[string]any{
-				"ph": "X", "name": "miss " + siteName(ev.Site), "cat": "cache",
+				"ph": "X", "name": "miss " + r.SiteName(ev.Site), "cat": "cache",
 				"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
 				"args": map[string]any{"page": pageStr(ev.Page), "line": ev.Line},
 			})

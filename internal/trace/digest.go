@@ -48,10 +48,8 @@ func HashEvent(h uint64, ev Event) uint64 {
 
 // Digest computes the digest of the currently held events.
 func (r *Recorder) Digest() Digest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	d := Digest{Dropped: r.dropped, Hash: fnvOffset}
-	for _, ev := range r.eventsLocked() {
+	for ev := range r.all {
 		d.Events++
 		d.Counts[ev.Kind]++
 		d.Hash = HashEvent(d.Hash, ev)
@@ -110,10 +108,8 @@ func hashAccessEvent(ev Event) uint64 {
 // AccessDigests under all three schemes, and the oldenvet
 // certificate-trace check enforces exactly that on the pinned kernels.
 func (r *Recorder) AccessDigest() Digest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	d := Digest{Dropped: r.dropped}
-	for _, ev := range r.eventsLocked() {
+	for ev := range r.all {
 		if !accessKinds[ev.Kind] {
 			continue
 		}

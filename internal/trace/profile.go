@@ -113,19 +113,13 @@ type Profile struct {
 // profiles — the observability layer Table 3's machine-wide statistics
 // lack.
 func (r *Recorder) Profile() *Profile {
-	events := r.Events()
-	sites := r.Sites()
-	p := &Profile{Dropped: r.Dropped()}
+	p := &Profile{Dropped: r.dropped}
 	siteAgg := map[int32]*SiteProfile{}
 	pageAgg := map[uint32]*PageProfile{}
 	siteOf := func(id int32) *SiteProfile {
 		sp := siteAgg[id]
 		if sp == nil {
-			name := ""
-			if id >= 0 && int(id) < len(sites) {
-				name = sites[id]
-			}
-			sp = &SiteProfile{Site: name, FanOut: map[int]int64{}}
+			sp = &SiteProfile{Site: r.SiteName(id), FanOut: map[int]int64{}}
 			siteAgg[id] = sp
 		}
 		return sp
@@ -138,7 +132,7 @@ func (r *Recorder) Profile() *Profile {
 		}
 		return pp
 	}
-	for _, ev := range events {
+	for ev := range r.all {
 		switch ev.Kind {
 		case EvMigrate:
 			p.Migrations++

@@ -22,10 +22,6 @@
 // unchanged.
 package trace
 
-import (
-	"sync"
-)
-
 // Kind is the type tag of an event.
 type Kind uint8
 
@@ -120,18 +116,30 @@ type Event struct {
 // without drops.
 const DefaultCapacity = 1 << 18
 
+// chunkSize is the number of events in one ring chunk (192 KB). The ring
+// is a list of fixed-size chunks so it can be allocated piecemeal as it
+// fills, without ever copying itself to grow.
+const chunkSize = 4096
+
 // Recorder collects events into a bounded ring. A nil *Recorder is the
 // disabled state: emit points must guard on it.
 //
-// The recorder is internally locked: although the virtual-time scheduler
-// serializes emissions logically, the emitting goroutines overlap in real
-// time.
+// The ring is a sequence of chunkSize-event chunks, each allocated the
+// first time the write cursor reaches it and kept across Reset, so a
+// recorder never holds more than cap events (cap × 48 B) and a kernel
+// phase reuses the memory its build phase filled.
+//
+// A Recorder is single-writer and unlocked. During a run exactly one
+// control flow writes it: every Emit and SiteID comes from the thread
+// the scheduler has made active, and hand-offs between threads order
+// those calls. Readers (Events, Digest, AccessDigest, Profile, the Chrome
+// export, Len, Dropped, Sites) may only run once the run that writes the
+// recorder has returned, never alongside it.
 type Recorder struct {
-	mu      sync.Mutex
 	cap     int
-	buf     []Event
-	next    int // ring write cursor (index into buf once len==cap)
-	wrapped bool
+	chunks  [][]Event // chunk i holds ring slots [i*chunkSize, i*chunkSize+len)
+	next    int       // ring write cursor, in [0, cap)
+	size    int       // events held, at most cap
 	dropped int64
 
 	sites   []string
@@ -139,43 +147,55 @@ type Recorder struct {
 }
 
 // New returns a recorder bounded at capacity events (DefaultCapacity when
-// capacity <= 0). An explicitly sized recorder preallocates its ring, so
-// recording never grows the buffer mid-run; the default-capacity ring
-// (≈12 MB) still grows on demand up to the bound, then wraps, dropping
-// the oldest events.
+// capacity <= 0). Storage is allocated one chunk at a time as events
+// arrive, up to capacity × 48 B; once full the ring wraps, dropping the
+// oldest events.
 func New(capacity int) *Recorder {
-	r := &Recorder{cap: capacity, siteIDs: map[string]int32{}}
 	if capacity <= 0 {
-		r.cap = DefaultCapacity
-	} else {
-		r.buf = make([]Event, 0, capacity)
+		capacity = DefaultCapacity
 	}
-	return r
+	return &Recorder{cap: capacity, siteIDs: map[string]int32{}}
 }
 
 // Emit appends one event. When the ring is full the oldest event is
 // overwritten and counted as dropped.
 func (r *Recorder) Emit(ev Event) {
-	r.mu.Lock()
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, ev)
+	c := r.next / chunkSize
+	if c == len(r.chunks) {
+		// First use of this chunk; the last one is cut short when cap is
+		// not a multiple of chunkSize.
+		r.chunks = append(r.chunks, make([]Event, min(chunkSize, r.cap-c*chunkSize)))
+	}
+	r.chunks[c][r.next%chunkSize] = ev
+	if r.next++; r.next == r.cap {
+		r.next = 0
+	}
+	if r.size < r.cap {
+		r.size++
 	} else {
-		r.buf[r.next] = ev
-		r.next++
-		if r.next == r.cap {
-			r.next = 0
-		}
-		r.wrapped = true
 		r.dropped++
 	}
-	r.mu.Unlock()
+}
+
+// all yields the held events oldest-first, reading the ring in place.
+func (r *Recorder) all(yield func(Event) bool) {
+	slot := 0
+	if r.size == r.cap {
+		slot = r.next
+	}
+	for range r.size {
+		if !yield(r.chunks[slot/chunkSize][slot%chunkSize]) {
+			return
+		}
+		if slot++; slot == r.cap {
+			slot = 0
+		}
+	}
 }
 
 // SiteID interns a site name, assigning ids in first-registration order
 // (which the deterministic scheduler makes stable run to run).
 func (r *Recorder) SiteID(name string) int32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if id, ok := r.siteIDs[name]; ok {
 		return id
 	}
@@ -188,8 +208,6 @@ func (r *Recorder) SiteID(name string) int32 {
 // SiteName resolves an interned site id; out-of-range ids (including the
 // -1 sentinel) resolve to the empty string.
 func (r *Recorder) SiteName(id int32) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if id < 0 || int(id) >= len(r.sites) {
 		return ""
 	}
@@ -198,54 +216,30 @@ func (r *Recorder) SiteName(id int32) string {
 
 // Sites returns the interned site names in id order.
 func (r *Recorder) Sites() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.sites))
-	copy(out, r.sites)
-	return out
+	return append([]string(nil), r.sites...)
 }
 
-// Events returns the recorded events oldest-first.
+// Events returns a copy of the recorded events, oldest-first.
 func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsLocked()
-}
-
-func (r *Recorder) eventsLocked() []Event {
-	if !r.wrapped {
-		out := make([]Event, len(r.buf))
-		copy(out, r.buf)
-		return out
+	out := make([]Event, 0, r.size)
+	for ev := range r.all {
+		out = append(out, ev)
 	}
-	out := make([]Event, 0, r.cap)
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
 	return out
 }
 
 // Len returns the number of events currently held.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
+func (r *Recorder) Len() int { return r.size }
 
 // Dropped returns the number of events lost to ring wrap-around.
-func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
+func (r *Recorder) Dropped() int64 { return r.dropped }
 
 // Reset discards recorded events (and the drop count) but keeps interned
-// site names, so a benchmark's kernel phase can be traced on its own after
-// an instrumented build phase.
+// site names and the ring's chunks, so a benchmark's kernel phase can be
+// traced on its own after an instrumented build phase, in the memory the
+// build phase already allocated.
 func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.buf = r.buf[:0]
 	r.next = 0
-	r.wrapped = false
+	r.size = 0
 	r.dropped = 0
-	r.mu.Unlock()
 }
